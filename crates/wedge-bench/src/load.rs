@@ -929,11 +929,11 @@ pub fn load_bench_json(
             w.field_f64("resumption_hit_rate", rate);
         }
         // Span-level latency breakdown: where a request's time went —
-        // accept (backlog → accepted), queue (submit → dequeue), serve
-        // (dequeue → done) and the remote cachenet slice — beside the
-        // end-to-end percentiles above.
+        // accept (backlog → accepted), park (accepted → first byte),
+        // queue (submit → dequeue), serve (dequeue → done) and the remote
+        // cachenet slice — beside the end-to-end percentiles above.
         w.nested("spans", |w| {
-            for phase in ["accept", "queue", "serve", "handshake", "cachenet"] {
+            for phase in ["accept", "park", "queue", "serve", "handshake", "cachenet"] {
                 if let Some(summary) = report.snapshot.histogram(&format!("trace.{phase}")) {
                     if summary.count == 0 {
                         continue;

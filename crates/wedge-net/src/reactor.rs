@@ -21,11 +21,12 @@
 //! * [`Reactor::watch`] — **readiness** mode: the reactor holds the link
 //!   *without touching its messages* and hands it back through a
 //!   one-shot callback the first time it becomes readable or closes.
-//!   `ShardedFrontEnd` uses this as a `TCP_DEFER_ACCEPT` analogue: an
-//!   accepted link enters a shard queue only once the client has
-//!   actually sent bytes, so idle links can no longer clog the bounded
-//!   queues. [`Reactor::take`] reclaims a still-idle watched link (the
-//!   end-of-run flush), atomically against the hand-off.
+//!   `ShardedFrontEnd` uses this as a `TCP_DEFER_ACCEPT` analogue: the
+//!   callback itself places the link on a shard the moment the client's
+//!   first byte lands, so idle links never clog the bounded queues. When
+//!   the listener closes, [`Reactor::take`] reclaims each link whose
+//!   client never spoke, atomically against the hand-off: exactly one of
+//!   the two gets the link.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

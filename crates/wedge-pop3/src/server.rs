@@ -211,21 +211,61 @@ impl Pop3Server {
     }
 
     /// Serve one connection: spawn the unprivileged client handler sthread
-    /// and return its handle. `link` is the server side of the client's
+    /// and return the session. `link` is the server side of the client's
     /// connection.
-    pub fn serve_connection(
-        &self,
-        link: Duplex,
-    ) -> Result<SthreadHandle<Result<Pop3Stats, WedgeError>>, WedgeError> {
-        let (policy, _uid_cell) = self.connection_policy()?;
+    pub fn serve_connection(&self, link: Duplex) -> Result<Pop3Session, WedgeError> {
+        let (policy, uid_cell) = self.connection_policy()?;
         *self.connections.lock() += 1;
         let login_entry = self.login_entry;
         let retrieve_entry = self.retrieve_entry;
-        self.wedge
-            .root()
-            .sthread_create("pop3-client-handler", &policy, move |ctx| {
-                client_handler(ctx, &link, login_entry, retrieve_entry)
-            })
+        let root = self.wedge.root();
+        let handler = root.sthread_create("pop3-client-handler", &policy, move |ctx| {
+            client_handler(ctx, &link, login_entry, retrieve_entry)
+        });
+        match handler {
+            Ok(handler) => Ok(Pop3Session {
+                handler: Some(handler),
+                uid_cell,
+                root,
+            }),
+            Err(err) => {
+                let _ = root.sfree(&uid_cell);
+                Err(err)
+            }
+        }
+    }
+}
+
+/// One connection in service: the client handler sthread and the
+/// connection's `uid` cell, which root frees once the handler has
+/// finished — never earlier, since the callgates still read it.
+pub struct Pop3Session {
+    handler: Option<SthreadHandle<Result<Pop3Stats, WedgeError>>>,
+    uid_cell: SBuf,
+    root: SthreadCtx,
+}
+
+impl Pop3Session {
+    /// Wait for the client handler to finish and collect its statistics.
+    pub fn join(mut self) -> Result<Result<Pop3Stats, WedgeError>, WedgeError> {
+        let handler = self.handler.take().expect("only join and drop take it");
+        let outcome = handler.join();
+        let _ = self.root.sfree(&self.uid_cell);
+        outcome
+    }
+}
+
+impl Drop for Pop3Session {
+    /// A session dropped unjoined frees its cell from a reaper thread once
+    /// the handler exits.
+    fn drop(&mut self) {
+        if let Some(handler) = self.handler.take() {
+            let (root, uid_cell) = (self.root.clone(), self.uid_cell);
+            std::thread::spawn(move || {
+                let _ = handler.join();
+                let _ = root.sfree(&uid_cell);
+            });
+        }
     }
 }
 
@@ -320,11 +360,7 @@ mod tests {
         .to_string()
     }
 
-    fn start() -> (
-        Pop3Server,
-        Duplex,
-        SthreadHandle<Result<Pop3Stats, WedgeError>>,
-    ) {
+    fn start() -> (Pop3Server, Duplex, Pop3Session) {
         let server = Pop3Server::new(Wedge::init(), &MailDb::sample()).unwrap();
         let (client, server_link) = duplex_pair("pop3-client", "pop3-server");
         let handle = server.serve_connection(server_link).unwrap();
@@ -371,6 +407,23 @@ mod tests {
         assert!(send_cmd(&client, "USER bob").starts_with("+OK"));
         assert!(send_cmd(&client, "PASS builder").starts_with("+OK"));
         assert!(send_cmd(&client, "RETR 99").starts_with("-ERR no such message"));
+    }
+
+    #[test]
+    fn one_server_serves_thousands_of_sessions_without_leaking_uid_cells() {
+        // Each session's uid cell is freed when its handler exits, so the
+        // uid tag's segment never fills, however many sessions one server
+        // has served.
+        let server = Pop3Server::new(Wedge::init(), &MailDb::sample()).unwrap();
+        for n in 0..5_000 {
+            let (client, link) = duplex_pair("pop3-client", "pop3-server");
+            let session = server.serve_connection(link).expect("session");
+            client.recv(RecvTimeout::Forever).expect("greeting");
+            assert!(send_cmd(&client, "QUIT").starts_with("+OK"));
+            let stats = session.join().unwrap().unwrap();
+            assert_eq!(stats.commands, 1, "session {n}");
+        }
+        assert_eq!(server.connections_served(), 5_000);
     }
 
     #[test]

@@ -74,7 +74,7 @@ impl<R> ShardJobHandle<R> {
 
 /// The shared front door over a [`ShardSet`].
 pub struct Acceptor<S: ShardServer> {
-    inner: Arc<ShardSetInner<S>>,
+    pub(crate) inner: Arc<ShardSetInner<S>>,
     policy: AcceptPolicy,
     next: AtomicUsize,
 }

@@ -1,38 +1,32 @@
 //! One protocol-agnostic sharded front-end.
 //!
-//! Before this module every protocol crate hand-rolled the same
-//! scaffolding around [`ShardSet`] + [`Acceptor`]: a config struct, the
-//! submit/serve-all driver loop, report aggregation and shard
-//! attribution, kill-shard plumbing. [`ShardedFrontEnd`] is that
-//! scaffolding written once, generically over [`ShardServer`] — the
-//! Apache, SSH and POP3 front-ends are now thin wrappers that only add
-//! their protocol-specific state (certificate keys, session caches,
-//! OTP ledgers).
-//!
-//! The front-end composes the three serving-stack layers:
+//! [`ShardedFrontEnd`] is the config, serve loop, report aggregation and
+//! kill plumbing around [`ShardSet`] + [`Acceptor`], written once over
+//! [`ShardServer`]: the Apache, SSH and POP3 front-ends are thin wrappers
+//! adding only their protocol state (certificate keys, session caches,
+//! OTP ledgers). It composes three serving-stack layers:
 //!
 //! 1. **Listener** ([`wedge_net::Listener`]) — `serve_listener` runs the
 //!    accept loop, draining connection batches; with
 //!    [`FrontEndConfig::defer_accept`] (the default) accepted links park
-//!    on a readiness [`Reactor`] until their first byte arrives and only
-//!    then occupy a shard, each submitted with the **source-address
-//!    affinity key** it arrived with, so
-//!    [`AcceptPolicy::SessionAffinity`] works without any protocol
-//!    cooperation.
+//!    on a readiness [`Reactor`], whose thread places each on a shard the
+//!    moment its first byte arrives, with the **source-address affinity
+//!    key** it arrived with, so [`AcceptPolicy::SessionAffinity`] works
+//!    without any protocol cooperation.
 //! 2. **Supervision** ([`crate::Supervisor`]) — enabled with
 //!    [`FrontEndConfig::supervisor`], killed shards respawn automatically
 //!    (fresh kernel, old ring index) with bounded backoff and
-//!    restart-storm detection; [`Self::restart_stats`] exposes the
-//!    watchdog's counters.
+//!    restart-storm detection.
 //! 3. **Placement** ([`Acceptor`]) — pluggable policy, per-shard health
 //!    and admission backpressure, kill-time re-routing.
 
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::atomic::Ordering;
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
 use wedge_core::{KernelStats, WedgeError};
-use wedge_net::{Duplex, Listener, NetError, Reactor, RecvTimeout};
-use wedge_telemetry::{Telemetry, TelemetrySnapshot};
+use wedge_net::{Duplex, Listener, Reactor, RecvTimeout};
+use wedge_telemetry::{SpanKind, Telemetry, TelemetrySnapshot};
 use wedge_tls::SessionStore;
 
 use crate::acceptor::{AcceptPolicy, Acceptor, ShardJobHandle};
@@ -103,13 +97,13 @@ impl FrontEndConfig {
 /// optional supervisor — shared by every protocol.
 pub struct ShardedFrontEnd<S: ShardServer> {
     set: ShardSet<S>,
-    acceptor: Acceptor<S>,
-    supervisor: Option<Supervisor>,
-    /// The session store this front-end's shards consult, when the
-    /// protocol has one (TLS front-ends do). Held here so operators can
-    /// watch resumption health at the front-end — and so a front-end can
-    /// be pointed at a **remote cache ring** (`wedge-cachenet`) instead
-    /// of an in-process cache without the generic layer noticing.
+    /// Shared with the accept reactor's hand-back callbacks, which place
+    /// links themselves (so is the supervisor).
+    acceptor: Arc<Acceptor<S>>,
+    supervisor: Option<Arc<Supervisor>>,
+    /// The session store the shards consult, when the protocol has one
+    /// (TLS does): an in-process cache or a remote `wedge-cachenet` ring,
+    /// held here so operators can watch resumption health.
     session_store: Option<Arc<dyn SessionStore>>,
     /// The registry this front-end reports into, once
     /// [`Self::instrument`] has been called.
@@ -169,10 +163,10 @@ impl<S: ShardServer> ShardedFrontEnd<S> {
         F: Fn(usize) -> Result<S, WedgeError> + Send + Sync + 'static,
     {
         let set = ShardSet::new(config.shard_config(), factory)?;
-        let acceptor = Acceptor::new(&set, config.policy);
+        let acceptor = Arc::new(Acceptor::new(&set, config.policy));
         let supervisor = config
             .supervisor
-            .map(|sup_config| Supervisor::spawn(&set, sup_config));
+            .map(|sup_config| Arc::new(Supervisor::spawn(&set, sup_config)));
         Ok(ShardedFrontEnd {
             set,
             acceptor,
@@ -196,13 +190,10 @@ impl<S: ShardServer> ShardedFrontEnd<S> {
         })
     }
 
-    /// Register every layer of this front-end on `telemetry`: the shard
-    /// set (scheduler counters, `shard.serve` latency, handshake mix,
-    /// per-shard kernels via [`ShardServer::instrument`]), the supervisor
-    /// when one runs, and the session store's `tls.session_cache.*`
-    /// resumption counters when one is registered. Idempotent — only the
-    /// first call wires anything. After this,
-    /// [`Self::telemetry_snapshot`] aggregates the whole stack.
+    /// Register every layer of this front-end on `telemetry` — the shard
+    /// set and its servers, the supervisor, the accept reactor and the
+    /// session store's `tls.session_cache.*` counters — so
+    /// [`Self::telemetry_snapshot`] aggregates the whole stack. Idempotent.
     pub fn instrument(&self, telemetry: &Telemetry) {
         if self.telemetry.set(telemetry.clone()).is_err() {
             return;
@@ -276,12 +267,9 @@ impl<S: ShardServer> ShardedFrontEnd<S> {
         self.set.health(idx)
     }
 
-    /// Front-end counters: every offered link bumps `submitted` and
-    /// resolves into exactly one of `completed` / `rejected` — a link the
-    /// batch drivers re-offer after backpressure counts as a fresh offer,
-    /// so `submitted == completed + rejected` always balances; `stolen`
-    /// counts placements away from the policy's first choice (skips of
-    /// saturated shards and post-kill re-routes).
+    /// Front-end counters (see [`ShardSet::stats`]): every offer, re-offers
+    /// after backpressure included, resolves into exactly one of
+    /// `completed` / `rejected`, so `submitted == completed + rejected`.
     pub fn sched_stats(&self) -> SchedStats {
         self.set.stats()
     }
@@ -310,16 +298,14 @@ impl<S: ShardServer> ShardedFrontEnd<S> {
     /// The supervisor's restart counters; `None` when the front-end runs
     /// unsupervised.
     pub fn restart_stats(&self) -> Option<RestartStats> {
-        self.supervisor.as_ref().map(Supervisor::stats)
+        self.supervisor.as_deref().map(Supervisor::stats)
     }
 
-    /// Shard indices the supervisor's storm guard has written off —
-    /// dead with no pending revival (empty when unsupervised or when
-    /// every failed shard is still being restarted). The health-polling
-    /// counterpart of [`Supervisor::abandoned`].
+    /// Shard indices the supervisor's storm guard has written off (see
+    /// [`Supervisor::abandoned`]); empty when unsupervised.
     pub fn abandoned_shards(&self) -> Vec<usize> {
         self.supervisor
-            .as_ref()
+            .as_deref()
             .map(Supervisor::abandoned)
             .unwrap_or_default()
     }
@@ -337,18 +323,20 @@ impl<S: ShardServer> ShardedFrontEnd<S> {
         self.set.restart_shard(idx)
     }
 
-    /// Block until shard `idx` reports healthy, up to `timeout`. Returns
-    /// whether it did — the test/demo helper for "the shard rejoined the
-    /// ring".
+    /// Block until shard `idx` reports healthy, up to `timeout`; returns
+    /// whether it did ("the shard rejoined the ring").
     pub fn await_healthy(&self, idx: usize, timeout: Duration) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
-        while std::time::Instant::now() < deadline {
+        let deadline = Instant::now() + timeout;
+        let inner = self.set.inner();
+        loop {
+            let seen = inner.capacity_epoch();
             if self.set.health(idx) == ShardHealth::Healthy {
                 return true;
             }
-            std::thread::sleep(Duration::from_millis(1));
+            if !inner.await_capacity(seen, Some(deadline)) {
+                return false;
+            }
         }
-        false
     }
 
     /// Submit one link for service on whichever shard the acceptor picks
@@ -370,153 +358,131 @@ impl<S: ShardServer> ShardedFrontEnd<S> {
     }
 
     /// Batch driver: serve every link and return the outcomes **in link
-    /// order** — `result[i]` is `links[i]`'s outcome — backing off
-    /// briefly whenever every shard pushes back. On a supervised
-    /// front-end a transiently all-dead set (every shard killed, restarts
-    /// pending) is also waited out; only a shut-down set fails the link.
+    /// order** — `result[i]` is `links[i]`'s outcome — waiting whenever
+    /// every shard pushes back. On a supervised front-end a transiently
+    /// all-dead set (every shard killed, restarts pending) is also waited
+    /// out; only a shut-down set fails the link.
     pub fn serve_all(&self, links: Vec<Duplex>) -> Vec<Result<S::Report, WedgeError>> {
-        let handles: Vec<Result<ShardJobHandle<S::Report>, WedgeError>> = links
-            .into_iter()
-            .map(|link| self.submit_with_backoff(link))
-            .collect();
+        let handles: Vec<_> = links.into_iter().map(|link| self.place(link)).collect();
         handles
             .into_iter()
-            .map(|handle| handle.and_then(ShardJobHandle::join))
+            .map(|h| h.and_then(ShardJobHandle::join))
             .collect()
     }
 
     /// The accept loop: drain `listener` in batches of up to `batch`
-    /// links and — once the listener closes and its backlog is drained —
-    /// return every outcome **in arrival order**. No accepted connection
-    /// is ever silently dropped: each either serves or resolves with an
-    /// error.
+    /// links and, once it closes and its backlog is drained, return every
+    /// outcome **in arrival order** — no accepted link is silently dropped.
     ///
-    /// With [`FrontEndConfig::defer_accept`] (the default) an accepted
-    /// link does not go to a shard yet: it parks on the front-end's
-    /// readiness [`Reactor`], and only when its first byte arrives is it
-    /// handed back — intact, the byte still queued — and submitted with
-    /// the source-address affinity key it arrived with. One parked
-    /// sthread thus fronts an arbitrary number of idle connections while
-    /// shard queues hold only links with work to do. Protocols where the
-    /// server speaks first disable deferral and submit on accept, as
-    /// this loop always did.
+    /// With [`FrontEndConfig::defer_accept`] (the default) the loop only
+    /// accepts and parks: one reactor thread fronts every idle link and
+    /// places each on a shard the moment its first byte lands. When the
+    /// listener closes, a link whose client never spoke is reclaimed and
+    /// placed anyway, so it resolves rather than dangles. Server-speaks-
+    /// first protocols disable deferral and place on accept.
     pub fn serve_listener(
         &self,
         listener: &Listener,
         batch: usize,
     ) -> Vec<Result<S::Report, WedgeError>> {
-        let mut handles: Vec<Option<Result<ShardJobHandle<S::Report>, WedgeError>>> = Vec::new();
-        // Readiness hand-backs: the reactor's notify callbacks send
-        // `(arrival index, link)` here the moment a parked link has data.
-        let (ready_tx, ready_rx) = std::sync::mpsc::channel::<(usize, Duplex)>();
-        // Arrival index → the reactor id of its still-parked watch.
-        let mut parked: Vec<(usize, u64)> = Vec::new();
-        loop {
-            match listener.accept_batch(batch, RecvTimeout::After(Duration::from_millis(20))) {
-                Ok(links) => {
-                    for link in links {
-                        let idx = handles.len();
-                        if self.defer_accept {
-                            let tx = ready_tx.clone();
-                            let id = self.accept_reactor().watch(link, move |link| {
-                                // The pump may have returned already (its
-                                // flush reclaims stragglers): a dead
-                                // channel is fine.
-                                let _ = tx.send((idx, link));
-                            });
-                            parked.push((idx, id));
-                            handles.push(None);
-                        } else {
-                            handles.push(Some(self.submit_with_backoff(link)));
-                        }
-                    }
+        let (placed_tx, placed_rx) = mpsc::channel();
+        let mut parked = Vec::new(); // (arrival index, reactor watch id)
+        let mut accepted = 0;
+        while let Ok(links) = listener.accept_batch(batch, RecvTimeout::Forever) {
+            for link in links {
+                if self.defer_accept {
+                    parked.push((accepted, self.park(accepted, link, placed_tx.clone())));
+                } else {
+                    let _ = placed_tx.send((accepted, self.place(link)));
                 }
-                Err(NetError::Timeout) => {}
-                Err(_) => break,
-            }
-            // Submit whatever woke while we were accepting.
-            while let Ok((idx, link)) = ready_rx.try_recv() {
-                handles[idx] = Some(self.submit_with_backoff(link));
+                accepted += 1;
             }
         }
-        // Flush: the listener is closed, but some links may still be
-        // parked. Reclaim each watch atomically — `take` returning the
-        // link means its callback never fired (the client never spoke;
-        // submit it anyway so it resolves rather than dangles), `None`
-        // means the hand-back is in the channel (or about to be).
+        // The listener is closed. `take` wins a watch whose callback never
+        // fired; every other callback has sent its handle or holds a
+        // sender until it does, so draining the channel cannot miss one.
         for (idx, id) in parked {
-            if handles[idx].is_some() {
-                continue;
-            }
             if let Some(link) = self.accept_reactor().take(id) {
-                handles[idx] = Some(self.submit_with_backoff(link));
+                let _ = placed_tx.send((idx, self.place(link)));
             }
         }
-        while handles.iter().any(Option::is_none) {
-            // Guaranteed to arrive: every un-taken watch has fired its
-            // callback (or is inside it), and our sender keeps the
-            // channel open.
-            match ready_rx.recv_timeout(Duration::from_secs(1)) {
-                Ok((idx, link)) => handles[idx] = Some(self.submit_with_backoff(link)),
-                Err(_) => break,
-            }
-        }
-        handles
+        drop(placed_tx);
+        let mut placed: Vec<(usize, Placement<S::Report>)> = placed_rx.into_iter().collect();
+        placed.sort_unstable_by_key(|&(idx, _)| idx);
+        placed
             .into_iter()
-            .map(|handle| match handle {
-                Some(handle) => handle.and_then(ShardJobHandle::join),
-                // Unreachable by construction; resolve rather than panic
-                // if the impossible happens.
-                None => Err(WedgeError::InvalidOperation(
-                    "accepted link lost between reactor and shard".into(),
-                )),
-            })
+            .map(|(_, handle)| handle.and_then(ShardJobHandle::join))
             .collect()
     }
 
-    /// Offer a link until something admits it or the refusal is final.
-    /// Transient saturation (some shard healthy, all momentarily full)
-    /// always backs off and retries; an **all-dead** set is waited out
-    /// only while a supervisor exists that can still revive a shard —
-    /// otherwise its uniform `ResourceExhausted` is surfaced immediately
-    /// (deterministic shedding, never a spin). A shut-down set fails
-    /// immediately with its permanent error.
-    fn submit_with_backoff(&self, link: Duplex) -> Result<ShardJobHandle<S::Report>, WedgeError> {
-        let key = link.affinity_key();
-        let mut link = link;
-        loop {
-            match self.acceptor.offer(link, key) {
-                Ok(handle) => return Ok(handle),
-                Err((back, err)) => {
-                    let shut_down = self
-                        .set
-                        .inner()
-                        .shutdown
-                        .load(std::sync::atomic::Ordering::SeqCst);
-                    if shut_down {
-                        return Err(err);
-                    }
-                    // A healthy shard exists: the refusal was transient
-                    // saturation — back off and re-offer.
-                    let any_healthy = self.set.inner().alive();
-                    // `abandoned_shards` gauges shards the watchdog has
-                    // currently written off; once it covers the whole
-                    // ring nothing will come back, so waiting would spin
-                    // forever.
-                    let revivable = self.supervisor.as_ref().is_some_and(|supervisor| {
-                        (supervisor.stats().abandoned_shards as usize) < self.set.shards()
-                    });
-                    if any_healthy || revivable {
-                        link = back;
-                        std::thread::sleep(Duration::from_millis(1));
-                    } else {
-                        // Every shard dead, nothing reviving them: shed
-                        // deterministically with the acceptor's error.
-                        return Err(err);
-                    }
-                }
+    /// Park `link` on the accept reactor. When its first byte (or a
+    /// hang-up) lands, the reactor thread records the `park` span, places
+    /// the link — intact, the byte still queued — and sends `(idx,
+    /// handle)` to the pump.
+    fn park(
+        &self,
+        idx: usize,
+        link: Duplex,
+        placed: mpsc::Sender<(usize, Placement<S::Report>)>,
+    ) -> u64 {
+        let acceptor = self.acceptor.clone();
+        let supervisor = self.supervisor.clone();
+        let span = link
+            .trace()
+            .zip(self.telemetry.get().and_then(Telemetry::tracer))
+            .map(|(trace, tracer)| (trace.ctx, tracer.now_ns(), tracer));
+        self.accept_reactor().watch(link, move |link| {
+            if let Some((root, start_ns, tracer)) = span {
+                tracer.record(
+                    tracer.child_of(root),
+                    SpanKind::Park,
+                    start_ns,
+                    tracer.now_ns(),
+                    true,
+                    0,
+                );
             }
+            let _ = placed.send((idx, place(&acceptor, supervisor.as_deref(), link)));
+        })
+    }
+
+    fn place(&self, link: Duplex) -> Placement<S::Report> {
+        place(&self.acceptor, self.supervisor.as_deref(), link)
+    }
+}
+
+/// A link's placement: its shard handle, or the final refusal.
+type Placement<R> = Result<ShardJobHandle<R>, WedgeError>;
+
+/// Offer `link` until a shard admits it or the refusal is final, waiting
+/// on the set's capacity signal between offers — never on a timer. A
+/// shut-down set fails at once. An all-dead set sheds with the acceptor's
+/// error unless a supervisor can still revive a shard. Anything else —
+/// every shard momentarily full, or dead with a revival pending — waits
+/// for the next dequeue, completion or health change and re-offers. On
+/// the reactor thread that wait is the intended backpressure: parked links
+/// keep their bytes queued until a shard has room.
+fn place<S: ShardServer>(
+    acceptor: &Acceptor<S>,
+    supervisor: Option<&Supervisor>,
+    mut link: Duplex,
+) -> Placement<S::Report> {
+    let inner = &acceptor.inner;
+    let key = link.affinity_key();
+    loop {
+        let seen = inner.capacity_epoch();
+        let (back, err) = match acceptor.offer(link, key) {
+            Ok(handle) => return Ok(handle),
+            Err(refused) => refused,
+        };
+        // Nothing comes back once the watchdog has written off every shard.
+        let revivable = supervisor
+            .is_some_and(|sup| (sup.stats().abandoned_shards as usize) < inner.shards.len());
+        if inner.shutdown.load(Ordering::SeqCst) || !(inner.alive() || revivable) {
+            return Err(err);
         }
+        link = back;
+        inner.await_capacity(seen, None);
     }
 }
 
@@ -527,9 +493,9 @@ mod tests {
     use std::time::Instant;
     use wedge_net::SourceAddr;
 
-    /// Echo-style test server: waits for one message, reports the serving
-    /// shard and the link's source host (so tests can match connections
-    /// to outcomes).
+    /// Echo-style test server: waits for one message, replies, and reports
+    /// the serving shard and the link's source host (so tests can match
+    /// connections to outcomes).
     struct TagServer;
 
     #[derive(Debug)]
@@ -543,6 +509,7 @@ mod tests {
 
         fn serve_link(&self, shard: usize, link: Duplex) -> Result<TagReport, WedgeError> {
             let _ = link.recv(RecvTimeout::Forever);
+            let _ = link.send(b"done");
             Ok(TagReport {
                 shard,
                 host: link.source().map(|s| s.host[3]).unwrap_or(0),
@@ -623,14 +590,9 @@ mod tests {
         )
         .expect("front");
         let listener = Listener::bind("lazy-svc", 32);
-        let mut idle = Vec::new();
-        for n in 0..12u8 {
-            idle.push(
-                listener
-                    .connect(SourceAddr::new([10, 0, 2, n], 42_000))
-                    .expect("connect"),
-            );
-        }
+        let idle: Vec<_> = (0..12u8)
+            .map(|n| listener.connect(SourceAddr::new([10, 0, 2, n], 42_000)))
+            .collect();
         let active: Vec<_> = (0..3u16)
             .map(|n| {
                 let client = listener
@@ -671,33 +633,68 @@ mod tests {
     }
 
     #[test]
+    fn deferred_link_is_served_the_moment_its_first_byte_lands() {
+        // Sequential round trips on an idle deferred front: each link
+        // parks, speaks, and must reach a shard at once. A pump that only
+        // looked for hand-backs between timed accept polls would floor
+        // every round trip at its poll interval.
+        let front = ShardedFrontEnd::new(
+            FrontEndConfig {
+                shards: 1,
+                ..FrontEndConfig::default()
+            },
+            |_id| Ok(TagServer),
+        )
+        .expect("front");
+        let listener = Listener::bind("rtt-svc", 4);
+        std::thread::scope(|scope| {
+            let pump = scope.spawn(|| front.serve_listener(&listener, 4));
+            let mut rtts: Vec<Duration> = (0..21u16)
+                .map(|n| {
+                    let started = Instant::now();
+                    let client = listener
+                        .connect(SourceAddr::new([10, 0, 3, 1], 43_000 + n))
+                        .expect("connect");
+                    client.send(b"go").unwrap();
+                    client
+                        .recv(RecvTimeout::After(Duration::from_secs(5)))
+                        .expect("reply");
+                    started.elapsed()
+                })
+                .collect();
+            listener.close();
+            assert!(pump.join().expect("pump").iter().all(Result::is_ok));
+            rtts.sort_unstable();
+            assert!(
+                rtts[10] < Duration::from_millis(10),
+                "median connect → reply {:?} (all: {rtts:?})",
+                rtts[10]
+            );
+        });
+    }
+
+    #[test]
     fn supervised_front_end_waits_out_a_fully_dead_set() {
-        let front = Arc::new(
-            ShardedFrontEnd::new(
-                FrontEndConfig {
-                    shards: 1,
-                    supervisor: Some(SupervisorConfig {
-                        poll_interval: Duration::from_millis(1),
-                        backoff_base: Duration::from_millis(1),
-                        ..SupervisorConfig::default()
-                    }),
-                    ..FrontEndConfig::default()
-                },
-                |_id| Ok(TagServer),
-            )
-            .expect("front"),
-        );
+        let front = ShardedFrontEnd::new(
+            FrontEndConfig {
+                shards: 1,
+                supervisor: Some(SupervisorConfig {
+                    poll_interval: Duration::from_millis(1),
+                    backoff_base: Duration::from_millis(1),
+                    ..SupervisorConfig::default()
+                }),
+                ..FrontEndConfig::default()
+            },
+            |_id| Ok(TagServer),
+        )
+        .expect("front");
         front.kill_shard(0);
         // With every shard dead, an unsupervised front would fail the
         // link permanently; the supervised one blocks until the watchdog
         // revives shard 0 and then serves.
         let (client, server) = wedge_net::duplex_pair("c", "s");
         client.send(b"go").unwrap();
-        let submitter = {
-            let front = front.clone();
-            std::thread::spawn(move || front.serve_all(vec![server]))
-        };
-        let outcomes = submitter.join().expect("submitter");
+        let outcomes = front.serve_all(vec![server]);
         assert_eq!(outcomes.len(), 1);
         assert_eq!(outcomes[0].as_ref().expect("served").shard, 0);
         let deadline = Instant::now() + Duration::from_secs(5);

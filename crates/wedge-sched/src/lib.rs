@@ -11,16 +11,13 @@
 //!   principals** on checkin (the kernel wipes the worker's private scratch
 //!   segment and COW views), closing the §3.3 residue leak that plain
 //!   recycled callgates accept.
-//! * [`Scheduler`] — a multi-worker job scheduler with **bounded per-worker
-//!   run queues** and **work stealing**: each worker drains its own queue in
-//!   FIFO order and steals from the back of siblings' queues when idle.
-//! * **Admission control and backpressure** — job slots are charged against
-//!   a [`wedge_core::resource::ResourceAccountant`], so exhaustion surfaces
-//!   as the same [`wedge_core::WedgeError::ResourceExhausted`] the resource
-//!   quotas use, and full run queues reject instead of growing without
-//!   bound.
+//! * **Admission control and backpressure** — shard slots are charged
+//!   against a [`wedge_core::resource::ResourceAccountant`], so exhaustion
+//!   surfaces as the same [`wedge_core::WedgeError::ResourceExhausted`] the
+//!   resource quotas use, and full shard queues reject instead of growing
+//!   without bound.
 //! * [`SchedStats`] / [`PoolStats`] — `KernelStats`-style counters for every
-//!   scheduler and pool decision (submitted, completed, rejected, stolen,
+//!   front-end and pool decision (submitted, completed, rejected, stolen,
 //!   checkouts, scrubs, peak depths).
 //! * [`ShardSet`] + [`Acceptor`] — the **multi-process sharding front-end**:
 //!   N forked shard workers, each owning an independent simulated kernel
@@ -38,7 +35,9 @@
 //!   the layers together: one generic config/serve-loop/aggregation shell
 //!   over `ShardSet` + `Acceptor` + `Supervisor`, including
 //!   [`front::ShardedFrontEnd::serve_listener`], the accept loop over a
-//!   [`wedge_net::Listener`] that derives source-address affinity keys.
+//!   [`wedge_net::Listener`] that parks idle links on a readiness reactor
+//!   and places each, with its source-address affinity key, the moment its
+//!   first byte lands.
 //!   The Apache, SSH and POP3 front-ends are thin wrappers around it.
 //!   A front-end can register the [`wedge_tls::SessionStore`] its shards
 //!   consult ([`front::ShardedFrontEnd::with_session_store`]) — the
@@ -58,8 +57,6 @@ pub mod acceptor;
 pub mod front;
 pub mod metrics;
 pub mod pool;
-pub mod queue;
-pub mod scheduler;
 pub mod shard;
 pub mod supervisor;
 
@@ -67,8 +64,6 @@ pub use acceptor::{hash_name, shard_for_key, AcceptPolicy, Acceptor, ShardJobHan
 pub use front::{FrontEndConfig, ShardedFrontEnd};
 pub use metrics::{PoolStats, SchedStats};
 pub use pool::{PoolCheckout, PoolConfig, WorkerPool};
-pub use queue::RunQueue;
-pub use scheduler::{JobHandle, Scheduler, SchedulerConfig};
 pub use shard::{
     BootStrategy, KillReport, ShardConfig, ShardHealth, ShardServer, ShardSet, ShardStats,
 };

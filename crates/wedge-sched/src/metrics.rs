@@ -1,22 +1,24 @@
-//! Scheduler and pool counters, in the style of
+//! Front-end and pool counters, in the style of
 //! [`wedge_core::KernelStats`]: cheap atomic counters accumulated on the
 //! hot path, snapshotted into plain `Clone + PartialEq` structs for tests
 //! and experiment harnesses.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// A snapshot of scheduler activity (see [`crate::Scheduler::stats`]).
+/// A snapshot of front-end activity (see [`crate::ShardSet::stats`]).
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct SchedStats {
-    /// Jobs accepted into a run queue.
+    /// Links offered (a re-offer after backpressure counts again).
     pub submitted: u64,
-    /// Jobs that ran to completion.
+    /// Links served to completion.
     pub completed: u64,
-    /// Jobs refused by admission control (quota or full queues).
+    /// Offers refused by admission control (quota, full queues, dead
+    /// shards).
     pub rejected: u64,
-    /// Jobs executed by a worker that stole them from a sibling's queue.
+    /// Links placed away from the policy's first choice (skips of
+    /// saturated shards and post-kill re-routes).
     pub stolen: u64,
-    /// Highest single-queue depth observed at enqueue time.
+    /// Highest single-shard queue depth observed at enqueue time.
     pub peak_queue_depth: u64,
 }
 

@@ -326,6 +326,12 @@ pub(crate) struct ShardSetInner<S: ShardServer> {
     /// Set once by [`Self::instrument`]; workers check it with one
     /// lock-free load per link and skip all timing when absent.
     pub(crate) probes: std::sync::OnceLock<ShardProbes>,
+    /// The capacity epoch: bumped, and broadcast on `capacity_cv`,
+    /// whenever a refused offer might now land or be refused for good — a
+    /// worker dequeued or finished a link, a shard changed health, the
+    /// supervisor wrote a shard off, or the set shut down.
+    capacity: Mutex<u64>,
+    capacity_cv: Condvar,
 }
 
 impl<S: ShardServer> ShardSetInner<S> {
@@ -364,6 +370,37 @@ impl<S: ShardServer> ShardSetInner<S> {
             }
         }
         Err(job)
+    }
+
+    /// The current capacity epoch. Read it *before* an offer; if the
+    /// offer is refused, [`Self::await_capacity`] with it cannot miss a
+    /// change that happened in between.
+    pub(crate) fn capacity_epoch(&self) -> u64 {
+        *self.capacity.lock()
+    }
+
+    /// Block until the capacity epoch moves past `seen`, or `deadline`
+    /// passes (`None`: no deadline). Returns whether it moved.
+    pub(crate) fn await_capacity(&self, seen: u64, deadline: Option<Instant>) -> bool {
+        let mut epoch = self.capacity.lock();
+        while *epoch == seen {
+            match deadline {
+                None => self.capacity_cv.wait(&mut epoch),
+                Some(deadline) => {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if self.capacity_cv.wait_for(&mut epoch, left).timed_out() {
+                        return *epoch != seen;
+                    }
+                }
+            }
+        }
+        true
+    }
+
+    /// Bump the capacity epoch and wake every waiter.
+    pub(crate) fn signal_capacity(&self) {
+        *self.capacity.lock() += 1;
+        self.capacity_cv.notify_all();
     }
 
     /// `true` while the set can still make progress: not shut down, and
@@ -512,6 +549,7 @@ impl<S: ShardServer> ShardSetInner<S> {
                 // Failed respawn: the shard stays dead; a later restart
                 // attempt can claim it again.
                 shard.health.store(HEALTH_FAILED, Ordering::SeqCst);
+                self.signal_capacity();
                 return RestartOutcome::FactoryFailed(err);
             }
         };
@@ -540,6 +578,7 @@ impl<S: ShardServer> ShardSetInner<S> {
             Ordering::SeqCst,
             Ordering::SeqCst,
         );
+        self.signal_capacity();
         if let Some(probes) = self.probes.get() {
             probes
                 .telemetry
@@ -583,6 +622,8 @@ fn shard_worker<S: ShardServer>(inner: &ShardSetInner<S>, me: usize) {
             // with an empty queue: this worker is done.
             return;
         };
+        // A queue slot just freed up.
+        inner.signal_capacity();
         let ShardJob { link, tx, trace } = job;
         let probes = inner.probes.get();
         let started = probes.map(|_| Instant::now());
@@ -616,6 +657,8 @@ fn shard_worker<S: ShardServer>(inner: &ShardSetInner<S>, me: usize) {
         shard.depth.fetch_sub(1, Ordering::SeqCst);
         SchedCounters::bump(&shard.counters.completed);
         SchedCounters::bump(&inner.aggregate.completed);
+        // So did an admission slot.
+        inner.signal_capacity();
         let result = outcome.unwrap_or_else(|payload| {
             Err(WedgeError::SthreadPanicked(wedge_core::panic_message(
                 payload,
@@ -785,6 +828,8 @@ impl<S: ShardServer> ShardSet<S> {
             fork_fd_count: config.fork_fd_count,
             boot: config.boot,
             probes: std::sync::OnceLock::new(),
+            capacity: Mutex::new(0),
+            capacity_cv: Condvar::new(),
         });
         for me in 0..shard_count {
             ShardSetInner::spawn_worker(&inner, me);
@@ -872,6 +917,7 @@ impl<S: ShardServer> ShardSet<S> {
     pub fn kill_shard(&self, idx: usize) -> KillReport {
         let n = self.inner.shards.len();
         let drained = self.inner.shards[idx].fail_and_drain();
+        self.inner.signal_capacity();
         let order: Vec<usize> = (1..n).map(|offset| (idx + offset) % n).collect();
         let mut report = KillReport::default();
         for job in drained {
@@ -911,6 +957,7 @@ impl<S: ShardServer> ShardSet<S> {
 
     fn shutdown_inner(&mut self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
+        self.inner.signal_capacity();
         for shard in &self.inner.shards {
             shard.signal.notify_all();
         }

@@ -400,6 +400,9 @@ fn monitor_loop<S: ShardServer>(
                         abandoned[idx].store(true, Ordering::Relaxed);
                         counters.storms.fetch_add(1, Ordering::Relaxed);
                         counters.abandoned_shards.fetch_add(1, Ordering::Relaxed);
+                        // A submitter waiting out an all-dead set may now
+                        // have nothing left to wait for.
+                        inner.signal_capacity();
                         continue;
                     }
                     // First retry waits backoff_base, then the ladder

@@ -76,6 +76,9 @@ pub enum SpanKind {
     Request,
     /// Backlog wait: connect-side enqueue to listener accept.
     Accept,
+    /// Deferred-accept park: reactor registration to the first-byte
+    /// hand-back.
+    Park,
     /// Shard queue wait: acceptor placement to worker dequeue.
     Queue,
     /// The shard worker serving the link.
@@ -94,9 +97,10 @@ pub enum SpanKind {
 
 impl SpanKind {
     /// Every kind, in display order.
-    pub const ALL: [SpanKind; 9] = [
+    pub const ALL: [SpanKind; 10] = [
         SpanKind::Request,
         SpanKind::Accept,
+        SpanKind::Park,
         SpanKind::Queue,
         SpanKind::Serve,
         SpanKind::Handshake,
@@ -111,6 +115,7 @@ impl SpanKind {
         match self {
             SpanKind::Request => "request",
             SpanKind::Accept => "accept",
+            SpanKind::Park => "park",
             SpanKind::Queue => "queue",
             SpanKind::Serve => "serve",
             SpanKind::Handshake => "handshake",

@@ -8,8 +8,8 @@
 //! * [`core`] — sthreads, tagged memory, callgates, default-deny policies
 //!   and the simulated kernel (the paper's contribution).
 //! * [`sched`] — the concurrent compartment scheduler: recycled-sthread
-//!   pools with zeroize-on-checkin, bounded work-stealing run queues and
-//!   admission control (the production-scale extension).
+//!   pools with zeroize-on-checkin and the sharded, supervised serving
+//!   front-end with admission control (the production-scale extension).
 //! * [`crowbar`] — the cb-log/cb-analyze partitioning-assistance tools.
 //! * [`alloc`] — the tag-segment allocator substrate.
 //! * [`crypto`] / [`tls`] / [`net`] — the substrates behind the case

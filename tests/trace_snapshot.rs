@@ -4,7 +4,8 @@
 //! write-through to a remote cache node — and at least one retained
 //! trace must carry causally-linked spans from **every** one of those
 //! layers, with its sequential phases summing to within the trace
-//! total.
+//! total. Every retained root must be covered by its top-level phases:
+//! time in no span is unattributed, and counts as a bug.
 //!
 //! The retained traces are also written as JSON to
 //! `TRACES_snapshot.json` (override with `WEDGE_TRACES_JSON`), the
@@ -147,13 +148,36 @@ fn one_retained_trace_spans_every_layer() {
     // sum to within the trace total. (Handshake, kernel and cachenet
     // spans nest *inside* serve, so they are excluded from the sum.)
     let sequential = full.phase_ns(SpanKind::Accept)
+        + full.phase_ns(SpanKind::Park)
         + full.phase_ns(SpanKind::Queue)
         + full.phase_ns(SpanKind::Serve);
     assert!(
         sequential <= full.total_ns,
-        "accept + queue + serve ({sequential} ns) exceed the trace total ({} ns)",
+        "accept + park + queue + serve ({sequential} ns) exceed the trace total ({} ns)",
         full.total_ns
     );
+    // ...and they cover it: in every retained trace the root's direct
+    // children (accept, park, queue, serve) account for ≥95% of the root.
+    for trace in &retained {
+        let root = trace
+            .spans
+            .iter()
+            .find(|s| s.kind == SpanKind::Request)
+            .expect("every retained trace has its root");
+        let covered: u64 = trace
+            .spans
+            .iter()
+            .filter(|s| s.parent_id == root.span_id)
+            .map(|s| s.duration_ns())
+            .sum();
+        assert!(
+            covered * 100 >= root.duration_ns() * 95,
+            "trace {}: top-level spans cover {covered} of {} ns: {:?}",
+            trace.trace_id,
+            root.duration_ns(),
+            trace.spans
+        );
+    }
     assert!(full.phase_ns(SpanKind::Serve) > 0, "serve took real time");
     // And every span of the trace belongs to it.
     assert!(full.spans.iter().all(|s| s.trace_id == full.trace_id));
