@@ -3004,8 +3004,13 @@ impl Kernel {
     }
 
     /// Merge additional grants into an existing compartment's policy (used
-    /// by recycled callgates, which trade some isolation for speed).
+    /// by recycled callgates, which trade some isolation for speed). Only
+    /// memory and descriptor grants merge, so an `extra` with neither is a
+    /// no-op: nothing is published and no cached grant is invalidated.
     pub(crate) fn widen_policy(&self, id: CompartmentId, extra: &SecurityPolicy) {
+        if extra.mem_grants().is_empty() && extra.fd_grants().is_empty() {
+            return;
+        }
         if self.oplog.is_some() {
             // An unknown id is silently ignored (matching the epoch-tier
             // behaviour), so the combined result is always Ok.

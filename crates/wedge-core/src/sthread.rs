@@ -968,6 +968,51 @@ mod tests {
     }
 
     #[test]
+    fn recycled_calls_publish_only_widens_that_add_a_grant() {
+        let wedge = Wedge::init();
+        let root = wedge.root();
+        let kernel = wedge.kernel().clone();
+        let arg_tag = root.tag_new().unwrap();
+        let arg = root.smalloc_init(arg_tag, b"argument").unwrap();
+        let entry = kernel.cgate_register(
+            "read_arg",
+            typed_entry(|ctx, _t, arg: Option<SBuf>| match arg {
+                Some(buf) => ctx.read_all(&buf),
+                None => Ok(Vec::new()),
+            }),
+        );
+        let mut worker_policy = SecurityPolicy::deny_all();
+        worker_policy.sc_mem_add(arg_tag, MemProt::Read);
+        worker_policy.sc_cgate_add(entry, SecurityPolicy::deny_all(), None);
+
+        let handle = root
+            .sthread_create("worker", &worker_policy, move |ctx| {
+                let call = |extra: &SecurityPolicy, input: Option<SBuf>| {
+                    ctx.cgate_recycled_expect::<Vec<u8>>(entry, extra, Box::new(input))
+                };
+                let tail = || kernel.oplog_stats().expect("op-log tier").tail;
+                let none = SecurityPolicy::deny_all();
+                call(&none, None).unwrap();
+                let before = tail();
+                for _ in 0..100 {
+                    call(&none, None).unwrap();
+                }
+                let after_noops = tail();
+                let ungranted = call(&none, Some(arg));
+                let mut grant = SecurityPolicy::deny_all();
+                grant.sc_mem_add(arg_tag, MemProt::Read);
+                let granted = call(&grant, Some(arg)).unwrap();
+                (before, after_noops, ungranted.is_err(), granted, tail())
+            })
+            .unwrap();
+        let (before, after_noops, ungranted_refused, granted, after_grant) = handle.join().unwrap();
+        assert_eq!(after_noops, before, "no-op widens must not reach the log");
+        assert!(ungranted_refused, "the gate cannot read the argument yet");
+        assert_eq!(granted, b"argument", "the published grant is usable");
+        assert!(after_grant > after_noops, "a real grant is published");
+    }
+
+    #[test]
     fn trusted_argument_is_not_forgeable_by_caller() {
         let wedge = Wedge::init();
         let root = wedge.root();

@@ -5,30 +5,56 @@ use crate::sha256::{sha256, Sha256, DIGEST_LEN};
 
 const BLOCK_LEN: usize = 64;
 
+/// An HMAC-SHA-256 key with both pads already absorbed: the inner and outer
+/// hash states after `key ⊕ ipad` and `key ⊕ opad`. Callers that MAC many
+/// messages under one key (the KDF's `P_hash` chain) pad and hash the key
+/// once instead of once per message.
+#[derive(Clone)]
+pub struct HmacKey {
+    inner: Sha256,
+    outer: Sha256,
+}
+
+impl HmacKey {
+    /// Absorb `key` (hashed first if longer than one block, per RFC 2104).
+    pub fn new(key: &[u8]) -> HmacKey {
+        let mut key_block = [0u8; BLOCK_LEN];
+        if key.len() > BLOCK_LEN {
+            let hashed = sha256(key);
+            key_block[..DIGEST_LEN].copy_from_slice(&hashed);
+        } else {
+            key_block[..key.len()].copy_from_slice(key);
+        }
+
+        let mut ipad = [0x36u8; BLOCK_LEN];
+        let mut opad = [0x5cu8; BLOCK_LEN];
+        for i in 0..BLOCK_LEN {
+            ipad[i] ^= key_block[i];
+            opad[i] ^= key_block[i];
+        }
+
+        let mut inner = Sha256::new();
+        inner.update(&ipad);
+        let mut outer = Sha256::new();
+        outer.update(&opad);
+        HmacKey { inner, outer }
+    }
+
+    /// Compute `HMAC-SHA256(key, message)`.
+    pub fn mac(&self, message: &[u8]) -> [u8; DIGEST_LEN] {
+        let mut inner = self.inner.clone();
+        inner.update(message);
+        let inner_digest = inner.finalize();
+
+        let mut outer = self.outer.clone();
+        outer.update(&inner_digest);
+        outer.finalize()
+    }
+}
+
 /// Compute `HMAC-SHA256(key, message)`.
 pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; DIGEST_LEN] {
-    let mut key_block = [0u8; BLOCK_LEN];
-    if key.len() > BLOCK_LEN {
-        let hashed = sha256(key);
-        key_block[..DIGEST_LEN].copy_from_slice(&hashed);
-    } else {
-        key_block[..key.len()].copy_from_slice(key);
-    }
-
-    let mut ipad = [0x36u8; BLOCK_LEN];
-    let mut opad = [0x5cu8; BLOCK_LEN];
-    for i in 0..BLOCK_LEN {
-        ipad[i] ^= key_block[i];
-        opad[i] ^= key_block[i];
-    }
-
-    let mut inner = Sha256::new();
-    inner.update(&ipad).update(message);
-    let inner_digest = inner.finalize();
-
-    let mut outer = Sha256::new();
-    outer.update(&opad).update(&inner_digest);
-    outer.finalize()
+    HmacKey::new(key).mac(message)
 }
 
 /// Verify an HMAC tag without early exit on mismatching content.

@@ -13,7 +13,7 @@
 //! material, split by [`KeyMaterial`] into encryption and MAC keys for each
 //! direction.
 
-use crate::hmac::hmac_sha256;
+use crate::hmac::HmacKey;
 
 /// Session key material derived from the handshake inputs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,8 +43,10 @@ impl KeyMaterial {
 }
 
 /// P_hash-style expansion: HMAC(secret, label ‖ seed ‖ counter) chained
-/// until `out_len` bytes are produced.
+/// until `out_len` bytes are produced. The secret is absorbed once for the
+/// whole chain.
 fn p_hash(secret: &[u8], label: &[u8], seed: &[u8], out_len: usize) -> Vec<u8> {
+    let key = HmacKey::new(secret);
     let mut out = Vec::with_capacity(out_len);
     let mut a: Vec<u8> = {
         let mut msg = label.to_vec();
@@ -53,12 +55,12 @@ fn p_hash(secret: &[u8], label: &[u8], seed: &[u8], out_len: usize) -> Vec<u8> {
     };
     let mut counter = 0u32;
     while out.len() < out_len {
-        a = hmac_sha256(secret, &a).to_vec();
+        a = key.mac(&a).to_vec();
         let mut msg = a.clone();
         msg.extend_from_slice(label);
         msg.extend_from_slice(seed);
         msg.extend_from_slice(&counter.to_be_bytes());
-        let block = hmac_sha256(secret, &msg);
+        let block = key.mac(&msg);
         let take = (out_len - out.len()).min(block.len());
         out.extend_from_slice(&block[..take]);
         counter += 1;
@@ -87,9 +89,15 @@ pub fn derive_key_block(
     server_random: &[u8],
 ) -> KeyMaterial {
     let master = derive_master_secret(premaster, client_random, server_random);
+    expand_key_block(&master, client_random, server_random)
+}
+
+/// Expand an already-derived master secret into the key block (the second
+/// half of [`derive_key_block`], for callers that keep the master secret).
+pub fn expand_key_block(master: &[u8], client_random: &[u8], server_random: &[u8]) -> KeyMaterial {
     let mut seed = server_random.to_vec();
     seed.extend_from_slice(client_random);
-    let block = p_hash(&master, b"key expansion", &seed, 128);
+    let block = p_hash(master, b"key expansion", &seed, 128);
     KeyMaterial {
         client_write_key: block[0..32].to_vec(),
         server_write_key: block[32..64].to_vec(),
@@ -138,6 +146,15 @@ mod tests {
                 assert_ne!(all[i], all[j]);
             }
         }
+    }
+
+    #[test]
+    fn expanding_the_master_secret_matches_the_full_derivation() {
+        let master = derive_master_secret(b"pm", b"cr", b"sr");
+        assert_eq!(
+            expand_key_block(&master, b"cr", b"sr"),
+            derive_key_block(b"pm", b"cr", b"sr")
+        );
     }
 
     #[test]

@@ -8,6 +8,12 @@
 
 use crate::sha256::{Sha256, DIGEST_LEN};
 
+#[cfg(test)]
+thread_local! {
+    /// Keystream blocks hashed on this thread (tests pin the count).
+    static BLOCKS_COMPUTED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// A symmetric keystream cipher. Encryption and decryption are the same
 /// operation (XOR with the keystream at the current offset).
 #[derive(Debug, Clone)]
@@ -32,6 +38,8 @@ impl StreamCipher {
     }
 
     fn keystream_block(&self, block_index: u64) -> [u8; DIGEST_LEN] {
+        #[cfg(test)]
+        BLOCKS_COMPUTED.with(|n| n.set(n.get() + 1));
         let mut h = Sha256::new();
         h.update(&self.key);
         h.update(&block_index.to_le_bytes());
@@ -39,16 +47,22 @@ impl StreamCipher {
     }
 
     /// XOR `data` with the keystream in place, advancing the position.
+    /// Each keystream block is hashed once and XORed over the whole run
+    /// of bytes it covers.
     pub fn apply(&mut self, data: &mut [u8]) {
-        let mut pos = self.position;
-        for byte in data.iter_mut() {
-            let block = pos / DIGEST_LEN as u64;
-            let offset = (pos % DIGEST_LEN as u64) as usize;
-            let ks = self.keystream_block(block);
-            *byte ^= ks[offset];
-            pos += 1;
+        let block_len = DIGEST_LEN as u64;
+        let mut rest = data;
+        while !rest.is_empty() {
+            let offset = (self.position % block_len) as usize;
+            let ks = self.keystream_block(self.position / block_len);
+            let take = (DIGEST_LEN - offset).min(rest.len());
+            let (run, tail) = std::mem::take(&mut rest).split_at_mut(take);
+            for (byte, k) in run.iter_mut().zip(&ks[offset..]) {
+                *byte ^= k;
+            }
+            self.position += run.len() as u64;
+            rest = tail;
         }
-        self.position = pos;
     }
 
     /// Encrypt (or decrypt) a buffer, returning a new vector.
@@ -116,6 +130,16 @@ mod tests {
         c.reset();
         let b = c.process(&[0u8; 16]);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn each_keystream_block_is_hashed_once() {
+        for n in 0..=200usize {
+            let before = BLOCKS_COMPUTED.with(|c| c.get());
+            StreamCipher::new(b"k").process(&vec![0u8; n]);
+            let hashed = BLOCKS_COMPUTED.with(|c| c.get()) - before;
+            assert_eq!(hashed, n.div_ceil(DIGEST_LEN) as u64, "{n} bytes");
+        }
     }
 
     #[test]

@@ -1,7 +1,35 @@
 //! Property-based tests for the crypto substrate.
 
 use proptest::prelude::*;
-use wedge_crypto::{hmac_sha256, sha256, RsaKeyPair, StreamCipher, WedgeRng};
+use wedge_crypto::{hmac_sha256, sha256, HmacKey, RsaKeyPair, StreamCipher, WedgeRng};
+
+/// The keystream format spelled out byte by byte: byte `p` is byte
+/// `p % 32` of `SHA-256(key ‖ (p / 32) as u64 LE)`.
+fn per_byte_reference(key: &[u8], data: &[u8]) -> Vec<u8> {
+    data.iter()
+        .enumerate()
+        .map(|(p, byte)| {
+            let mut block_input = key.to_vec();
+            block_input.extend_from_slice(&((p / 32) as u64).to_le_bytes());
+            byte ^ sha256(&block_input)[p % 32]
+        })
+        .collect()
+}
+
+/// RFC 2104 written out with one-shot hashes of concatenations.
+fn hmac_reference(key: &[u8], message: &[u8]) -> [u8; 32] {
+    let mut key_block = if key.len() > 64 {
+        sha256(key).to_vec()
+    } else {
+        key.to_vec()
+    };
+    key_block.resize(64, 0);
+    let mut inner: Vec<u8> = key_block.iter().map(|k| k ^ 0x36).collect();
+    inner.extend_from_slice(message);
+    let mut outer: Vec<u8> = key_block.iter().map(|k| k ^ 0x5c).collect();
+    outer.extend_from_slice(&sha256(&inner));
+    sha256(&outer)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -73,6 +101,42 @@ proptest! {
             let ct = enc.process(msg);
             let pt = dec.process(&ct);
             prop_assert_eq!(&pt, msg);
+        }
+    }
+
+    #[test]
+    fn chunked_apply_equals_whole_apply_equals_per_byte_reference(
+        key in prop::collection::vec(any::<u8>(), 0..64),
+        data in prop::collection::vec(any::<u8>(), 0..300),
+        cuts in prop::collection::vec(0usize..300, 0..6),
+    ) {
+        let mut whole = data.clone();
+        StreamCipher::new(&key).apply(&mut whole);
+
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(data.len())).collect();
+        cuts.sort_unstable();
+        let mut chunked = data.clone();
+        let mut cipher = StreamCipher::new(&key);
+        let mut start = 0;
+        for end in cuts.into_iter().chain([data.len()]) {
+            cipher.apply(&mut chunked[start..end]);
+            start = end;
+        }
+        prop_assert_eq!(cipher.position(), data.len() as u64);
+        prop_assert_eq!(&chunked, &whole);
+        prop_assert_eq!(&whole, &per_byte_reference(&key, &data));
+    }
+
+    #[test]
+    fn keyed_hmac_equals_one_shot_and_reference(
+        key in prop::collection::vec(any::<u8>(), 0..200),
+        msgs in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..160), 1..4),
+    ) {
+        let keyed = HmacKey::new(&key);
+        for msg in &msgs {
+            let tag = keyed.mac(msg);
+            prop_assert_eq!(tag, hmac_sha256(&key, msg));
+            prop_assert_eq!(tag, hmac_reference(&key, msg));
         }
     }
 

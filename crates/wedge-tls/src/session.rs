@@ -67,9 +67,11 @@ impl SessionKeys {
     /// handshake randoms (the hash over "three inputs that traverse the
     /// network" of §5.1.1).
     pub fn derive(premaster: &[u8], client_random: &[u8], server_random: &[u8]) -> SessionKeys {
+        let master_secret = kdf::derive_master_secret(premaster, client_random, server_random);
+        let material = kdf::expand_key_block(&master_secret, client_random, server_random);
         SessionKeys {
-            master_secret: kdf::derive_master_secret(premaster, client_random, server_random),
-            material: kdf::derive_key_block(premaster, client_random, server_random),
+            master_secret,
+            material,
         }
     }
 
